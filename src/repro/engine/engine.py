@@ -29,6 +29,7 @@ merged stats/metrics.
 
 from __future__ import annotations
 
+from hashlib import sha1
 from itertools import count
 
 import numpy as np
@@ -41,8 +42,6 @@ from repro.engine.flow_table import ShardedFlowTable
 from repro.engine.shard import ShardPipeline, WindowPolicy
 from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
-from repro.net.flow import FlowKey
-from repro.net.hashing import flow_hash
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
@@ -614,14 +613,14 @@ class StagedEngine:
         self._ensure_open()
         self._finished = False
         self._packets += 1
-        key = FlowKey.of_packet(packet)
-        flow_id = flow_hash(key)
+        # Section 4.5: SHA-1 over the canonical key bytes the decoder
+        # read off the wire; no FlowKey exists until a flow is new.
+        flow_id = sha1(packet.key_bytes).digest()
         self.table.note_ingest(flow_id, len(packet.payload))
         if packet.payload:
             self._data_packets += 1
-        is_close = packet.is_tcp and (packet.transport.fin or packet.transport.rst)
         return self.runtime.dispatch(
-            packet, key, flow_id, packet.timestamp, is_close
+            packet, flow_id, packet.timestamp, packet.fin_or_rst
         )
 
     def flush_timeouts(self, now: float) -> int:

@@ -41,6 +41,7 @@ from repro.engine.batcher import FoldBatcher, MicroBatcher, ReadyFlow
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.flow_table import FlowShard
 from repro.engine.types import ClassifiedFlow, EngineStats, PendingFlow
+from repro.net.flow import FlowKey
 
 __all__ = ["IngestResult", "ShardPipeline", "WindowPolicy"]
 
@@ -179,6 +180,11 @@ class ShardPipeline:
         #: runtime journals these so its coordinator can release the
         #: packets it buffered for the flow.
         self.on_drop = None
+        #: ``packet -> key`` for a flow's first packet: the outcome key
+        #: its :class:`ClassifiedFlow` will carry. Built once per new
+        #: flow, never per packet; the process runtime's workers swap in
+        #: their own (they receive payload frames, not headers).
+        self.key_of = FlowKey.of_packet
         self.stats = EngineStats()
         #: (label, packet) pairs awaiting sink fan-out — the runtime
         #: drains this after every call; plain list appends keep the
@@ -376,7 +382,7 @@ class ShardPipeline:
     # -- packet path ---------------------------------------------------------
 
     def ingest(
-        self, packet, key, flow_id: bytes, now: float, is_close: bool
+        self, packet, flow_id: bytes, now: float, is_close: bool
     ) -> IngestResult:
         """Run one packet of this shard through lookup/buffer/fold/ready."""
         shard = self.shard
@@ -404,7 +410,7 @@ class ShardPipeline:
         pending = shard.pending.get(flow_id)
         if pending is None:
             pending = PendingFlow(
-                key=key,
+                key=self.key_of(packet),
                 seq=self._next_seq(),
                 state=self.extractor.new_state(),
                 first_arrival=now,

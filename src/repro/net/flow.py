@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, decode_flow_key, encode_flow_key
 
 __all__ = ["Flow", "FlowKey", "assemble_flows"]
 
@@ -35,25 +35,21 @@ class FlowKey:
     @classmethod
     def of_packet(cls, packet: Packet) -> "FlowKey":
         """The directed flow key of a packet."""
-        src, src_port, dst, dst_port, protocol = packet.five_tuple
-        return cls(src=src, src_port=src_port, dst=dst, dst_port=dst_port,
-                   protocol=protocol)
+        return cls(*packet.five_tuple)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "FlowKey":
+        """The flow key whose canonical encoding is ``data`` (13 bytes)."""
+        return cls(*decode_flow_key(data))
 
     def to_bytes(self) -> bytes:
-        """Canonical byte encoding (input to the SHA-1 flow ID)."""
-        import socket  # stdlib, local import keeps module load light
+        """Canonical byte encoding (input to the SHA-1 flow ID).
 
-        try:
-            src_raw = socket.inet_aton(self.src)
-            dst_raw = socket.inet_aton(self.dst)
-        except OSError:
-            raise ValueError(f"invalid address in flow key {self}")
-        return (
-            src_raw
-            + self.src_port.to_bytes(2, "big")
-            + dst_raw
-            + self.dst_port.to_bytes(2, "big")
-            + self.protocol.to_bytes(1, "big")
+        Addresses must be canonical dotted quads: shorthand such as
+        ``"10.1"`` raises ``ValueError`` instead of aliasing another key.
+        """
+        return encode_flow_key(
+            self.src, self.src_port, self.dst, self.dst_port, self.protocol
         )
 
     def reversed(self) -> "FlowKey":
@@ -88,9 +84,7 @@ class Flow:
     @property
     def saw_fin_or_rst(self) -> bool:
         """Whether any TCP packet carried FIN or RST (CDB purge trigger)."""
-        return any(
-            p.is_tcp and (p.transport.fin or p.transport.rst) for p in self.packets
-        )
+        return any(p.fin_or_rst for p in self.packets)
 
     def inter_arrival_times(self) -> list[float]:
         """Gaps between consecutive packets of this flow."""

@@ -25,5 +25,5 @@ def flow_hash(key: FlowKey) -> bytes:
 
 
 def packet_flow_hash(packet: Packet) -> bytes:
-    """Flow ID of the flow a packet belongs to."""
-    return flow_hash(FlowKey.of_packet(packet))
+    """Flow ID of the flow a packet belongs to (no :class:`FlowKey` built)."""
+    return hashlib.sha1(packet.key_bytes).digest()

@@ -4,12 +4,19 @@ Implements the header fields Iustitia consumes — the 5-tuple, TCP flags
 (FIN/RST drive CDB purging), lengths — plus enough of the rest (checksums,
 TTL, sequence numbers) that serialized packets survive a round-trip through
 the pcap reader/writer and external tools would parse them.
+
+Decoding (:meth:`Packet.from_bytes`) reads only what the per-packet fast
+path needs straight off the wire: the 13-byte canonical flow key
+(:func:`encode_flow_key`'s layout), the TCP flags, the payload view and
+the timestamp. Header objects and dotted-quad strings are parsed on first
+access.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from socket import AF_INET, inet_ntoa, inet_pton
 
 __all__ = [
     "Ipv4Header",
@@ -18,6 +25,8 @@ __all__ = [
     "Packet",
     "TcpHeader",
     "UdpHeader",
+    "decode_flow_key",
+    "encode_flow_key",
     "internet_checksum",
 ]
 
@@ -44,21 +53,89 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def _ip_to_int(address: str) -> int:
-    parts = address.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"invalid IPv4 address {address!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"invalid IPv4 address {address!r}")
-        value = (value << 8) | octet
-    return value
+#: Canonical flow-key layout: src address, src port, dst address, dst
+#: port, protocol — big-endian, no padding. Its bytes are the SHA-1 input
+#: of a flow ID (Section 4.5).
+_FLOW_KEY = struct.Struct("!4sH4sHB")
 
 
-def _int_to_ip(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+def _address_bytes(address: str) -> bytes:
+    """Strict dotted-quad parse: shorthand or zero-padded forms are rejected."""
+    try:
+        return inet_pton(AF_INET, address)
+    except OSError:
+        raise ValueError(f"invalid IPv4 address {address!r}") from None
+
+
+def encode_flow_key(
+    src: str, src_port: int, dst: str, dst_port: int, protocol: int
+) -> bytes:
+    """The canonical 13-byte flow key ``src‖sport‖dst‖dport‖proto``.
+
+    The one owner of the encoding: the decoder packs the same layout
+    straight from the wire, and :meth:`repro.net.flow.FlowKey.to_bytes`
+    and every flow hash go through here. Addresses parse strictly, so a
+    key built from strings and one decoded from bytes agree byte for
+    byte.
+    """
+    try:
+        return _FLOW_KEY.pack(
+            inet_pton(AF_INET, src), src_port, inet_pton(AF_INET, dst),
+            dst_port, protocol,
+        )
+    except OSError:
+        raise ValueError(f"invalid address in flow key ({src!r}, {dst!r})") from None
+    except struct.error as exc:
+        raise ValueError(f"invalid flow key field: {exc}") from None
+
+
+def decode_flow_key(key: bytes) -> tuple[str, int, str, int, int]:
+    """The 5-tuple ``(src, sport, dst, dport, proto)`` of a canonical key."""
+    src, src_port, dst, dst_port, protocol = _FLOW_KEY.unpack(key)
+    return (inet_ntoa(src), src_port, inet_ntoa(dst), dst_port, protocol)
+
+
+#: Fixed-offset IPv4 fields: version/IHL, total length, protocol, src, dst.
+_IPV4_FIELDS = struct.Struct("!BxH5xB2x4s4s")
+#: TCP ports, data offset and flags; UDP ports.
+_TCP_FIELDS = struct.Struct("!HH8xBB")
+_UDP_PORTS = struct.Struct("!HH")
+
+
+def _ipv4_fields(data, offset: int) -> tuple:
+    """Validated ``(ihl, total length, protocol, src, dst)`` at ``data[offset:]``.
+
+    The single home of the IPv4 header checks, shared by
+    :meth:`Ipv4Header.from_bytes` and the packet decoder.
+    """
+    size = len(data) - offset
+    if size < 20:
+        raise ValueError(f"IPv4 header needs 20 bytes, got {size}")
+    version_ihl, total_length, protocol, src, dst = _IPV4_FIELDS.unpack_from(
+        data, offset
+    )
+    if version_ihl >> 4 != 4:
+        raise ValueError(f"not an IPv4 packet (version {version_ihl >> 4})")
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20:
+        raise ValueError(f"invalid IPv4 IHL {ihl}")
+    if size < ihl:
+        raise ValueError(f"IPv4 header claims {ihl} bytes, got {size}")
+    return ihl, total_length, protocol, src, dst
+
+
+def _tcp_fields(data, start: int, size: int) -> tuple:
+    """Validated ``(sport, dport, data offset, flags)`` of the ``size``-byte
+    TCP segment at ``data[start:]`` (shared like :func:`_ipv4_fields`)."""
+    if size < 20:
+        raise ValueError(f"TCP header needs 20 bytes, got {size}")
+    src_port, dst_port, data_offset, flags = _TCP_FIELDS.unpack_from(data, start)
+    data_offset = (data_offset >> 4) * 4
+    if data_offset < 20:
+        raise ValueError(f"invalid TCP data offset {data_offset}")
+    if size < data_offset:
+        raise ValueError(f"TCP header claims {data_offset} bytes, got {size}")
+    return src_port, dst_port, data_offset, flags
 
 
 @dataclass
@@ -93,41 +170,20 @@ class Ipv4Header:
             self.ttl,
             self.protocol,
             0,  # checksum placeholder
-            _ip_to_int(self.src).to_bytes(4, "big"),
-            _ip_to_int(self.dst).to_bytes(4, "big"),
+            _address_bytes(self.src),
+            _address_bytes(self.dst),
         )
         checksum = internet_checksum(head)
         return head[:10] + struct.pack("!H", checksum) + head[12:]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Ipv4Header":
-        """Parse the first 20 bytes of ``data`` as an IPv4 header."""
-        if len(data) < cls.HEADER_LEN:
-            raise ValueError(f"IPv4 header needs 20 bytes, got {len(data)}")
-        (
-            version_ihl,
-            _tos,
-            total_length,
-            identification,
-            _frag,
-            ttl,
-            protocol,
-            _checksum,
-            src_raw,
-            dst_raw,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[: cls.HEADER_LEN])
-        if version_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 packet (version {version_ihl >> 4})")
-        ihl_bytes = (version_ihl & 0x0F) * 4
-        if ihl_bytes < cls.HEADER_LEN:
-            raise ValueError(f"invalid IPv4 IHL {ihl_bytes}")
-        if len(data) < ihl_bytes:
-            raise ValueError(
-                f"IPv4 header claims {ihl_bytes} bytes, got {len(data)}"
-            )
+        """Parse the IPv4 header at the start of ``data`` (options skipped)."""
+        ihl_bytes, total_length, protocol, src_raw, dst_raw = _ipv4_fields(data, 0)
+        identification, ttl = struct.unpack_from("!4xH2xB", data)
         return cls(
-            src=_int_to_ip(int.from_bytes(src_raw, "big")),
-            dst=_int_to_ip(int.from_bytes(dst_raw, "big")),
+            src=inet_ntoa(src_raw),
+            dst=inet_ntoa(dst_raw),
             protocol=protocol,
             total_length=total_length,
             identification=identification,
@@ -193,18 +249,8 @@ class TcpHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TcpHeader":
-        if len(data) < cls.HEADER_LEN:
-            raise ValueError(f"TCP header needs 20 bytes, got {len(data)}")
-        src_port, dst_port, seq, ack, offset_byte, flags, window, _cs, _urg = (
-            struct.unpack("!HHIIBBHHH", data[: cls.HEADER_LEN])
-        )
-        offset_bytes = (offset_byte >> 4) * 4
-        if offset_bytes < cls.HEADER_LEN:
-            raise ValueError(f"invalid TCP data offset {offset_bytes}")
-        if len(data) < offset_bytes:
-            raise ValueError(
-                f"TCP header claims {offset_bytes} bytes, got {len(data)}"
-            )
+        src_port, dst_port, offset_bytes, flags = _tcp_fields(data, 0, len(data))
+        seq, ack, window = struct.unpack_from("!4xII2xH", data)
         return cls(
             src_port=src_port,
             dst_port=dst_port,
@@ -241,6 +287,45 @@ class UdpHeader:
         return cls(src_port=src_port, dst_port=dst_port, length=length)
 
 
+_FIN_OR_RST = FLAG_FIN | FLAG_RST
+
+
+class _LazyHeader:
+    """A :class:`Packet` header field parsed from the wire on first read.
+
+    Eagerly built packets store the header they were given. Decoded
+    packets store None and keep the wire buffer plus the IPv4 header's
+    offset in it; the first read parses the header and caches it, so a
+    header a caller mutates (or assigns) is the one every later read —
+    and the packet's flow key — sees.
+    """
+
+    def __init__(self, parse) -> None:
+        self._parse = parse
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, packet, owner=None):
+        if packet is None:
+            # No class-level value: the dataclass field has no default.
+            raise AttributeError(self._slot[1:])
+        value = getattr(packet, self._slot)
+        if value is None:
+            value = self._parse(memoryview(packet._wire)[packet._ip_at :])
+            setattr(packet, self._slot, value)
+        return value
+
+    def __set__(self, packet, value) -> None:
+        setattr(packet, self._slot, value)
+
+
+def _parse_transport(view: memoryview) -> "TcpHeader | UdpHeader":
+    """The (already validated) transport header of the IPv4 packet ``view``."""
+    header = TcpHeader if view[9] == PROTO_TCP else UdpHeader
+    return header.from_bytes(view[(view[0] & 0x0F) * 4 :])
+
+
 @dataclass
 class Packet:
     """A full IP packet: IPv4 header, TCP or UDP header, payload, timestamp.
@@ -250,10 +335,17 @@ class Packet:
     extractor fold path consumes without ever materializing intermediate
     ``bytes``. Views compare equal to equivalent ``bytes`` and serialize
     identically.
+
+    A packet decoded by :meth:`from_bytes` carries its flow key and TCP
+    flags as read off the wire (:attr:`key_bytes`, :attr:`fin_or_rst`);
+    ``ip`` and ``transport`` are parsed on first access. Once either
+    header has been read or assigned, the key and flags come from the
+    header objects, so editing them (or ``dataclasses.replace``) never
+    leaves a stale key behind.
     """
 
-    ip: Ipv4Header
-    transport: "TcpHeader | UdpHeader"
+    ip: Ipv4Header = _LazyHeader(Ipv4Header.from_bytes)
+    transport: "TcpHeader | UdpHeader" = _LazyHeader(_parse_transport)
     payload: "bytes | memoryview" = b""
     timestamp: float = 0.0
 
@@ -266,12 +358,37 @@ class Packet:
             )
 
     @property
+    def key_bytes(self) -> bytes:
+        """The canonical 13-byte flow key (see :func:`encode_flow_key`)."""
+        if self._ip is None and self._transport is None:
+            return self._key
+        ip, transport = self.ip, self.transport
+        return encode_flow_key(
+            ip.src, transport.src_port, ip.dst, transport.dst_port, ip.protocol
+        )
+
+    @property
+    def fin_or_rst(self) -> bool:
+        """Whether this is a TCP packet carrying FIN or RST (CDB purge trigger)."""
+        transport = self._transport
+        if transport is None:
+            return bool(self._flags & _FIN_OR_RST)
+        return isinstance(transport, TcpHeader) and bool(
+            transport.flags & _FIN_OR_RST
+        )
+
+    @property
     def is_tcp(self) -> bool:
-        return isinstance(self.transport, TcpHeader)
+        transport = self._transport
+        if transport is None:
+            return self._key[-1] == PROTO_TCP
+        return isinstance(transport, TcpHeader)
 
     @property
     def five_tuple(self) -> tuple[str, int, str, int, int]:
         """(src ip, src port, dst ip, dst port, protocol)."""
+        if self._ip is None and self._transport is None:
+            return decode_flow_key(self._key)
         return (
             self.ip.src,
             self.transport.src_port,
@@ -302,24 +419,45 @@ class Packet:
 
     @classmethod
     def from_bytes(
-        cls, data: "bytes | memoryview", timestamp: float = 0.0
+        cls, data: "bytes | memoryview", timestamp: float = 0.0, offset: int = 0
     ) -> "Packet":
-        """Parse a serialized IPv4 packet (TCP or UDP); IP options skipped.
+        """Parse the serialized IPv4 packet (TCP or UDP) at ``data[offset:]``.
+
+        Validates everything the header parsers do — version, IHL bounds,
+        TCP data-offset bounds, header lengths — but builds no header
+        object: one ``struct`` read of the fixed-offset IPv4 fields and
+        one of the ports/flags yield the flow key and flags, and the
+        packet keeps a reference to ``data`` plus the header offset for
+        the lazy ``ip``/``transport`` parse. IP options are skipped.
 
         The payload is a zero-copy ``memoryview`` slice of ``data``: no
         byte of the packet body is copied between the capture buffer and
         the extractor fold path. Callers that outlive ``data`` (or
         mutate it) should ``bytes()`` the payload themselves.
         """
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        ip = Ipv4Header.from_bytes(view)
-        body = view[ip.ihl_bytes : ip.total_length or len(view)]
-        if ip.protocol == PROTO_TCP:
-            transport: "TcpHeader | UdpHeader" = TcpHeader.from_bytes(body)
-            payload = body[transport.data_offset_bytes() :]
-        elif ip.protocol == PROTO_UDP:
-            transport = UdpHeader.from_bytes(body)
-            payload = body[UdpHeader.HEADER_LEN :]
+        ihl, total_length, protocol, src, dst = _ipv4_fields(data, offset)
+        size = len(data) - offset
+        start = offset + ihl
+        end = offset + min(total_length or size, size)
+        body = max(end - start, 0)
+        if protocol == PROTO_TCP:
+            src_port, dst_port, data_offset, flags = _tcp_fields(data, start, body)
+            start += data_offset
+        elif protocol == PROTO_UDP:
+            if body < UdpHeader.HEADER_LEN:
+                raise ValueError(f"UDP header needs 8 bytes, got {body}")
+            src_port, dst_port = _UDP_PORTS.unpack_from(data, start)
+            flags = 0
+            start += UdpHeader.HEADER_LEN
         else:
-            raise ValueError(f"unsupported IP protocol {ip.protocol}")
-        return cls(ip=ip, transport=transport, payload=payload, timestamp=timestamp)
+            raise ValueError(f"unsupported IP protocol {protocol}")
+        packet = cls.__new__(cls)
+        packet._ip = None
+        packet._transport = None
+        packet.payload = memoryview(data)[start:end]
+        packet.timestamp = timestamp
+        packet._wire = data
+        packet._ip_at = offset
+        packet._key = _FLOW_KEY.pack(src, src_port, dst, dst_port, protocol)
+        packet._flags = flags
+        return packet

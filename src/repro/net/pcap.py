@@ -59,6 +59,9 @@ LINKTYPE_RAW = 101
 #: Ethernet II link type: packets carry a 14-byte frame header.
 LINKTYPE_ETHERNET = 1
 
+#: The EtherType field of an Ethernet II frame header.
+_ETHERTYPE = struct.Struct("!H")
+
 
 @dataclass
 class PcapDecodeStats:
@@ -69,7 +72,8 @@ class PcapDecodeStats:
     not yielded, because a partial payload would silently feed the
     classifier wrong bytes. ``skipped_frames`` counts Ethernet frames
     that are not IPv4 (ARP, IPv6, ...). ``decode_errors`` counts
-    records whose body failed to parse as an IPv4/TCP/UDP packet.
+    records whose body failed to parse as an IPv4/TCP/UDP packet (also
+    skipped). ``packets`` counts only the packets actually yielded.
     """
 
     records: int = 0
@@ -136,8 +140,10 @@ def iter_pcap(
     frames are stripped (non-IPv4 frames are skipped); snaplen-truncated
     records (``captured < original``) are counted and skipped rather
     than misparsed; rejects pcapng and other link types with a clear
-    error. A truncated file tail (partial record header or body) raises
-    ``ValueError`` mid-iteration.
+    error. A record whose body is not a well-formed IPv4 TCP/UDP packet
+    (ICMP, a bad IHL or TCP data offset, ...) is counted in
+    ``decode_errors`` and skipped. A truncated file tail (partial record
+    header or body) raises ``ValueError`` mid-iteration.
 
     ``stats`` — an optional :class:`PcapDecodeStats` the caller can
     watch (or let :class:`repro.ingest.PcapFileSource` surface as
@@ -166,6 +172,8 @@ def iter_pcap(
                 f"{path}: link type {linktype} unsupported (expected raw IP "
                 f"{LINKTYPE_RAW} or Ethernet {LINKTYPE_ETHERNET})"
             )
+        ip_offset = EthernetHeader.HEADER_LEN if linktype == LINKTYPE_ETHERNET else 0
+        from_bytes = Packet.from_bytes
         while True:
             record_header = handle.read(16)
             if not record_header:
@@ -187,22 +195,28 @@ def iter_pcap(
                 # and move on.
                 stats.truncated_records += 1
                 continue
-            # One allocation per record (the read itself); everything
-            # downstream — frame strip, header parse, payload — slices
-            # this view, so packet payloads reach the extractor fold
-            # path without a single intermediate copy.
-            data = memoryview(record)
             if linktype == LINKTYPE_ETHERNET:
-                frame = EthernetHeader.from_bytes(data)
-                if not frame.is_ipv4:
+                if captured < EthernetHeader.HEADER_LEN:
+                    stats.decode_errors += 1
+                    continue
+                if _ETHERTYPE.unpack_from(record, 12)[0] != ETHERTYPE_IPV4:
                     stats.skipped_frames += 1
                     continue  # ARP/IPv6/etc.: not Iustitia traffic
+            # One allocation per record (the read itself); the packet
+            # keeps it and the IP header's offset in it, and its payload
+            # is a view over it, so packet payloads reach the extractor
+            # fold path without a single intermediate copy. A record
+            # whose body does not parse is counted and skipped: one bad
+            # packet must not end the capture.
+            try:
+                packet = from_bytes(
+                    record, seconds + ticks / ticks_per_second, ip_offset
+                )
+            except ValueError:
+                stats.decode_errors += 1
+                continue
             stats.packets += 1
-            yield Packet.from_bytes(
-                data if linktype == LINKTYPE_RAW
-                else data[EthernetHeader.HEADER_LEN :],
-                timestamp=seconds + ticks / ticks_per_second,
-            )
+            yield packet
 
 
 def read_pcap(path: "str | Path") -> list[Packet]:

@@ -110,8 +110,12 @@ class Runtime(Protocol):
     def batchers(self) -> list:
         """The micro-batchers that can hold queued ready flows."""
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         """Run one packet through its shard; returns the label if known.
+
+        ``flow_id`` is the packet's SHA-1 flow ID and ``is_close`` its
+        FIN/RST bit; a flow's :class:`~repro.net.flow.FlowKey` is built
+        from ``packet`` only when the flow is new.
 
         Asynchronous runtimes may return None even for flows whose
         label is (or becomes) known — the authoritative record of

@@ -55,6 +55,7 @@ import queue as stdqueue
 import struct
 import time
 import traceback
+from operator import attrgetter
 
 from repro.runtime.base import register
 
@@ -88,12 +89,17 @@ _COORDINATOR_METRICS = frozenset(
 
 
 class _FramePacket:
-    """Worker-side stand-in for a packet: the pipeline reads ``.payload``."""
+    """Worker-side stand-in for a packet: the pipeline reads ``.payload``.
 
-    __slots__ = ("payload",)
+    ``key`` is the ``(flow ID, packet seq)`` pair a new flow's outcome
+    carries back to the coordinator.
+    """
 
-    def __init__(self, payload) -> None:
+    __slots__ = ("payload", "key")
+
+    def __init__(self, payload, key) -> None:
         self.payload = payload
+        self.key = key
 
 
 def _recording_cdb(purge_coefficient: float, harness):
@@ -162,6 +168,7 @@ class _WorkerHarness:
             # The coordinator ships each packet's global arrival index;
             # minting from it keeps pending.seq globally ordered.
             pipeline._next_seq = self._mint_seq
+            pipeline.key_of = attrgetter("key")
             if pipeline.index in owned:
                 pipeline.shard.cdb = _recording_cdb(
                     config.pipeline.purge_coefficient, self
@@ -205,7 +212,7 @@ class _WorkerHarness:
             offset += length
             self.current_seq = seq
             dispatch(
-                _FramePacket(payload), (flow_id, seq), flow_id, ts,
+                _FramePacket(payload, (flow_id, seq)), flow_id, ts,
                 bool(flags & 1),
             )
 
@@ -312,7 +319,8 @@ class ProcessRuntime:
         #: fid -> [(pkt_seq, packet), ...] buffered while the flow's
         #: label is unknown to the coordinator mirror.
         self._flows: dict = {}
-        #: fid -> FlowKey of the last dispatched packet (outcome keys).
+        #: fid -> canonical key bytes of the flow's last dispatched
+        #: packet; the outcome's FlowKey is built from them on emit.
         self._keys: dict = {}
         self._framebufs: list = []
         self._framecounts: list = []
@@ -597,6 +605,7 @@ class ProcessRuntime:
     def _emit_outcome(self, event) -> None:
         from repro.core.labels import FlowNature
         from repro.engine.types import ClassifiedFlow
+        from repro.net.flow import FlowKey
 
         (_tag, flow_id, gen_seq, upto, label_int, classified_at,
          delay, buffered_bytes, protocol) = event
@@ -613,7 +622,7 @@ class ProcessRuntime:
             if left:
                 self._flows[flow_id] = left
         outcome = ClassifiedFlow(
-            key=self._keys[flow_id],
+            key=FlowKey.from_bytes(self._keys[flow_id]),
             label=FlowNature(label_int),
             classified_at=classified_at,
             buffering_delay=delay,
@@ -625,9 +634,9 @@ class ProcessRuntime:
 
     # -- Runtime protocol ----------------------------------------------------
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         engine = self._engine
-        self._keys[flow_id] = key
+        self._keys[flow_id] = packet.key_bytes
         record = engine.table.record_of(flow_id)
         if record is not None and (
             engine.config.reclassify_interval

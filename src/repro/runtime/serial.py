@@ -75,7 +75,7 @@ class SerialRuntime:
         engine.pipelines[0].fold_for(batch, engine.table.pending_get)
         return engine.classify_apply(batch, now)
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         engine = self._engine
         pipelines = engine.pipelines
         # The packet clock advanced: drain if the oldest queued flow has
@@ -86,7 +86,7 @@ class SerialRuntime:
             self._classify(due, now)
 
         pipeline = pipelines[engine.shard_index(flow_id)]
-        result = pipeline.ingest(packet, key, flow_id, now, is_close)
+        result = pipeline.ingest(packet, flow_id, now, is_close)
         if pipeline.outbox:
             engine.drain_outbox(pipeline)
         if result.label is not None:

@@ -146,8 +146,8 @@ class ThreadRuntime:
                 msg = inq.get()
                 op = msg[0]
                 if op == "pkt":
-                    _, pipeline, packet, key, flow_id, now, is_close = msg
-                    result = pipeline.ingest(packet, key, flow_id, now, is_close)
+                    _, pipeline, packet, flow_id, now, is_close = msg
+                    result = pipeline.ingest(packet, flow_id, now, is_close)
                     if pipeline.outbox:
                         events = pipeline.outbox
                         pipeline.outbox = []
@@ -190,12 +190,12 @@ class ThreadRuntime:
 
     # -- coordinator side ----------------------------------------------------
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         engine = self._engine
         shard_index = engine.shard_index(flow_id)
         pipeline = engine.pipelines[shard_index]
         self._worker_for(shard_index).put(
-            ("pkt", pipeline, packet, key, flow_id, now, is_close)
+            ("pkt", pipeline, packet, flow_id, now, is_close)
         )
         self._service(now)
         return None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.flow import Flow, FlowKey, assemble_flows
+from repro.net.hashing import flow_hash
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_FIN,
@@ -52,6 +53,22 @@ class TestFlowKey:
     def test_bad_address_in_to_bytes(self):
         with pytest.raises(ValueError, match="invalid address"):
             FlowKey("nonsense", 1, "2.2.2.2", 2, 6).to_bytes()
+
+    @pytest.mark.parametrize("alias", ["10.1", "10.0.1", "010.0.0.1", "10.0.0.01"])
+    def test_non_canonical_address_rejected_not_aliased(self, alias):
+        # inet_aton read "10.1" as 10.0.0.1 (and "010..." as octal), so
+        # two unequal keys used to share one flow ID.
+        with pytest.raises(ValueError, match="invalid address"):
+            FlowKey(alias, 1, "10.0.0.2", 2, 17).to_bytes()
+        with pytest.raises(ValueError, match="invalid address"):
+            flow_hash(FlowKey("10.0.0.2", 2, alias, 1, 17))
+
+    def test_from_bytes_inverts_to_bytes(self):
+        key = FlowKey("192.168.7.1", 443, "10.0.0.254", 51000, 6)
+        assert key.to_bytes() == bytes(
+            [192, 168, 7, 1, 1, 187, 10, 0, 0, 254, 199, 56, 6]
+        )
+        assert FlowKey.from_bytes(key.to_bytes()) == key
 
     def test_hashable(self):
         assert len({FlowKey("1.1.1.1", 1, "2.2.2.2", 2, 6)} | {

@@ -208,3 +208,58 @@ class TestStreamingWrite:
         assert [p.payload for p in read_pcap(dst)] == [
             p.payload for p in _packets()
         ]
+
+
+def _raw_capture(path, bodies, linktype=LINKTYPE_RAW):
+    parts = [struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype)]
+    for n, body in enumerate(bodies):
+        parts.append(struct.pack("!IIII", n, 0, len(body), len(body)))
+        parts.append(body)
+    path.write_bytes(b"".join(parts))
+
+
+def _udp(n):
+    return Packet(
+        ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", protocol=17),
+        transport=UdpHeader(src_port=1000 + n, dst_port=53),
+        payload=bytes([n]) * 4,
+    )
+
+
+class TestUndecodableRecords:
+    """One record that does not parse is counted and skipped, not fatal."""
+
+    def test_icmp_record_then_udp_records(self, tmp_path):
+        path = tmp_path / "icmp.pcap"
+        icmp = bytearray(_udp(0).to_bytes())
+        icmp[9] = 1  # ICMP
+        _raw_capture(path, [bytes(icmp), _udp(1).to_bytes(), _udp(2).to_bytes()])
+        stats = PcapDecodeStats()
+        loaded = list(iter_pcap(path, stats=stats))
+        assert [p.five_tuple[1] for p in loaded] == [1001, 1002]
+        assert stats.records == 3
+        assert stats.decode_errors == 1
+        assert stats.packets == 2
+
+    def test_bad_ihl_and_tcp_offset_records_skipped(self, tmp_path):
+        path = tmp_path / "bad.pcap"
+        bad_ihl = bytearray(_udp(0).to_bytes())
+        bad_ihl[0] = (4 << 4) | 3
+        bad_offset = bytearray(_packets()[0].to_bytes())
+        bad_offset[20 + 12] = 2 << 4  # TCP data offset 8 < 20
+        _raw_capture(
+            path, [bytes(bad_ihl), _udp(1).to_bytes(), bytes(bad_offset)]
+        )
+        stats = PcapDecodeStats()
+        loaded = list(iter_pcap(path, stats=stats))
+        assert len(loaded) == 1
+        assert (stats.decode_errors, stats.packets) == (2, 1)
+
+    def test_runt_ethernet_frame_counted(self, tmp_path):
+        path = tmp_path / "runt.pcap"
+        ipv4 = EthernetHeader().to_bytes() + _udp(1).to_bytes()
+        _raw_capture(path, [b"\x00" * 6, ipv4], linktype=LINKTYPE_ETHERNET)
+        stats = PcapDecodeStats()
+        loaded = list(iter_pcap(path, stats=stats))
+        assert [p.five_tuple for p in loaded] == [_udp(1).five_tuple]
+        assert (stats.decode_errors, stats.packets) == (1, 1)
