@@ -31,14 +31,13 @@ Table-3 figure — plus fold-path engine throughput for each, with label
 equivalence validated before anything is timed.
 
 A fourth payload, ``BENCH_parallel.json``, sweeps the execution runtime
-(``repro.runtime``): the serial runtime vs the thread and process
-runtimes across a worker-count sweep on a fragmented multi-packet
-trace, per-flow label equivalence validated before anything is timed.
-The ratios are reported honestly — pure-Python ingest serializes on the
-GIL (thread) or pays per-packet frame encode + IPC (process), so wins
-only materialize where the numpy fold/classify kernels dominate and
-cores are actually available; expect ratios near (or below) 1.0 on
-small traces and single-core machines. Process-runtime timings exclude
+(``repro.runtime``): the serial runtime vs the process runtime across
+a worker-count sweep on a fragmented multi-packet trace, per-flow label
+equivalence validated before anything is timed. The ratios are
+reported honestly — the process runtime pays per-packet frame encode +
+IPC, so wins only materialize where the numpy fold/classify kernels
+dominate and cores are actually available; expect ratios near (or
+below) 1.0 on small traces and single-core machines. Process-runtime timings exclude
 engine construction (worker spawn + model hand-off is per-deployment
 setup, not per-trace cost).
 
@@ -649,15 +648,12 @@ def bench_parallel(
     model: str = "svm",
     extractor: str = "incremental",
 ) -> dict:
-    """Serial vs thread vs process runtime on a fragmented trace.
+    """Serial vs process runtime on a fragmented trace.
 
-    The same classifier and trace run under ``runtime="serial"``,
-    ``runtime="thread"``, and ``runtime="process"`` for each worker
-    count; per-flow labels must match the serial run exactly before
-    anything is timed (the parallel runtimes' determinism contract).
-    The incremental extractor is the default subject because its numpy
-    fold kernels release the GIL — the only place thread parallelism
-    can actually pay on CPython. For the process runtime the engine
+    The same classifier and trace run under ``runtime="serial"`` and
+    ``runtime="process"`` for each worker count; per-flow labels must
+    match the serial run exactly before anything is timed (the process
+    runtime's determinism contract). For the process runtime the engine
     (worker spawn + model hand-off) is built *outside* the timed
     region: that setup cost is per-deployment, not per-trace, and the
     sweep measures steady-state ingest.
@@ -693,19 +689,17 @@ def bench_parallel(
             engine.process_trace(trace, sample_interval=1e9)
         return engine
 
-    # Determinism gate: every runtime and worker count must reproduce
-    # the serial per-flow label map before its timing counts for anything.
+    # Determinism gate: every worker count must reproduce the serial
+    # per-flow label map before its timing counts for anything.
     serial_labels = {c.key: c.label for c in run("serial").stats.classified}
-    for runtime in ("thread", "process"):
-        for workers in worker_counts:
-            got = {
-                c.key: c.label
-                for c in run(runtime, workers).stats.classified
-            }
-            if got != serial_labels:
-                raise AssertionError(
-                    f"{runtime} runtime (num_workers={workers}) changed labels"
-                )
+    for workers in worker_counts:
+        got = {
+            c.key: c.label for c in run("process", workers).stats.classified
+        }
+        if got != serial_labels:
+            raise AssertionError(
+                f"process runtime (num_workers={workers}) changed labels"
+            )
 
     def throughput(fn) -> dict:
         seconds = _best_of(fn, repeat)
@@ -725,11 +719,6 @@ def bench_parallel(
             return time.perf_counter() - start
 
     serial = throughput(lambda: run("serial"))
-    thread_runs = {}
-    for workers in worker_counts:
-        entry = throughput(lambda: run("thread", workers))
-        entry["vs_serial"] = entry["packets_per_s"] / serial["packets_per_s"]
-        thread_runs[str(workers)] = entry
     process_runs = {}
     for workers in worker_counts:
         seconds = min(process_seconds(workers) for _ in range(repeat))
@@ -751,7 +740,6 @@ def bench_parallel(
         "packets_per_flow": packets_per_flow,
         "worker_counts": list(worker_counts),
         "serial": serial,
-        "thread": thread_runs,
         "process": process_runs,
         "process_timed_region": "process_trace (engine/worker spawn excluded)",
         "labels_identical": True,
@@ -1143,11 +1131,6 @@ def collect_parallel_results(
     # Headline numbers at the top level, where CI and readers look first.
     sweep = results["runtime_sweep"]
     best_workers, best = max(
-        sweep["thread"].items(), key=lambda item: item[1]["vs_serial"]
-    )
-    results["best_thread_vs_serial"] = best["vs_serial"]
-    results["best_thread_workers"] = int(best_workers)
-    best_workers, best = max(
         sweep["process"].items(), key=lambda item: item[1]["vs_serial"]
     )
     results["best_process_vs_serial"] = best["vs_serial"]
@@ -1220,7 +1203,7 @@ def main(argv: "list[str] | None" = None) -> dict:
         type=int,
         nargs="+",
         default=[1, 2, 4],
-        help="worker counts to sweep for the thread and process runtimes",
+        help="worker counts to sweep for the process runtime",
     )
     parser.add_argument("--delay-flows", type=int, default=300)
     parser.add_argument("--delay-duration", type=float, default=60.0)
@@ -1332,13 +1315,12 @@ def main(argv: "list[str] | None" = None) -> dict:
         f"runtime_sweep serial: {sweep['serial']['packets_per_s']:,.0f} "
         "packets/s"
     )
-    for runtime in ("thread", "process"):
-        for workers, entry in sweep[runtime].items():
-            print(
-                f"runtime_sweep {runtime} workers={workers}: "
-                f"{entry['packets_per_s']:,.0f} packets/s "
-                f"({entry['vs_serial']:.2f}x vs serial)"
-            )
+    for workers, entry in sweep["process"].items():
+        print(
+            f"runtime_sweep process workers={workers}: "
+            f"{entry['packets_per_s']:,.0f} packets/s "
+            f"({entry['vs_serial']:.2f}x vs serial)"
+        )
     print(f"wrote {args.parallel_out}")
 
     ingest_results = collect_ingest_results(

@@ -10,7 +10,7 @@ Subcommands::
                                    [--labels labels.json] [--json out.json]
                                    [--metrics metrics.prom]
                                    [--extractor batch|incremental]
-                                   [--runtime serial|thread|process]
+                                   [--runtime serial|process]
                                    [--workers N]
                                    [--on-error fail-fast|degrade|dead-letter]
                                    [--max-retries N]
@@ -282,15 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_runtimes(),
         default="serial",
         help="execution runtime: run every shard pipeline inline "
-        "(serial, default), pin shards to worker threads under a "
-        "classify coordinator (thread), or replicate shard pipelines "
-        "into shared-nothing worker processes (process)",
+        "(serial, default) or replicate shard pipelines into "
+        "shared-nothing worker processes (process)",
     )
     classify.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="workers for --runtime thread/process "
+        help="workers for --runtime process "
         "(default: one per shard, capped at CPU count)",
     )
     classify.add_argument(

@@ -141,21 +141,22 @@ class EngineConfig:
     #: Execution runtime driving the shard pipelines (see
     #: :mod:`repro.runtime`): ``"serial"`` (default) runs every shard
     #: inline, packet-for-packet equivalent to the fused engine;
-    #: ``"thread"`` pins shards to worker threads under a classify
-    #: coordinator; ``"process"`` replicates shard pipelines into
-    #: shared-nothing worker processes. Any name registered through
+    #: ``"process"`` replicates shard pipelines into shared-nothing
+    #: worker processes. Any name registered through
     #: :func:`repro.runtime.register` resolves here, and a callable
     #: ``(engine_config) -> Runtime`` plugs in a custom executor
     #: directly.
     runtime: "str | object" = "serial"
-    #: Workers for the thread/process runtimes (None = one per shard,
-    #: capped at the machine's CPU count). Must be between 1 and
-    #: ``num_shards`` when set — shards are the unit of parallelism.
-    #: Ignored by the serial runtime.
+    #: Workers for the process runtime (None = one per shard, capped at
+    #: the machine's CPU count). Must be between 1 and ``num_shards``
+    #: when set — shards are the unit of parallelism. Ignored by the
+    #: serial runtime.
     num_workers: "int | None" = None
-    #: Bound of each worker's ingress queue (packets). A full queue
-    #: blocks dispatch — backpressure instead of unbounded buffering.
-    #: Ignored by the serial runtime.
+    #: Bound of each process-runtime worker's ingress queue, in
+    #: messages: packet frames of up to 64 packets each, plus control
+    #: messages (flush, final, purge, barrier). A full queue blocks
+    #: dispatch — backpressure instead of unbounded buffering. Ignored
+    #: by the serial runtime.
     queue_depth: int = 1024
     #: Template for the remaining pipeline knobs (feature set, header
     #: handling, CDB purging, Section-4.6 defenses).

@@ -20,9 +20,9 @@ Figure 1 draws and the monolithic ``IustitiaEngine`` fused together:
 default :class:`~repro.runtime.SerialRuntime` drives shards inline and
 is packet-for-packet equivalent to the fused engine (the equivalence
 suite checks labels, counters, and the CDB size series at
-``max_batch=1``); :class:`~repro.runtime.ThreadRuntime` pins shards to
-worker threads and merges their drains into cross-shard classify
-batches. The facade keeps only cross-shard concerns: dispatch, the
+``max_batch=1``); :class:`~repro.runtime.ProcessRuntime` replicates
+shard pipelines into worker processes and merges their result frames.
+The facade keeps only cross-shard concerns: dispatch, the
 classify kernels, sink fan-out, the shard-global purge trigger, and
 merged stats/metrics.
 """
@@ -97,7 +97,7 @@ class StagedEngine:
     merged at scrape time — and a run yields live counters, gauges, and
     histograms for each paper claim (see DESIGN.md's metric map).
 
-    Engines using the thread runtime own worker threads: call
+    Engines using the process runtime own worker processes: call
     :meth:`close` (or use the engine as a context manager) when done.
     """
 
@@ -231,7 +231,7 @@ class StagedEngine:
         After closing, the engine is read-only: counters, metrics, and
         collected outcomes stay available, but processing more packets
         raises :class:`~repro.engine.types.EngineClosedError` — worker
-        runtimes have already torn down their threads/processes.
+        runtimes have already torn down their processes.
         """
         if self._closed:
             return
@@ -264,9 +264,9 @@ class StagedEngine:
     def stats(self) -> EngineStats:
         """Merged counters: facade dispatch + every shard, at read time.
 
-        Shards own their counters (no cross-thread writes on the fill
-        path); each access builds a fresh merged snapshot, so read the
-        attribute again after more packets rather than holding one.
+        Shards own their counters; each access builds a fresh merged
+        snapshot, so read the attribute again after more packets rather
+        than holding one.
         """
         merged = EngineStats(
             packets=self._packets, data_packets=self._data_packets
@@ -407,10 +407,7 @@ class StagedEngine:
         The classify loop runs per flow and the CDB hit path per packet,
         so the hot path keeps plain shard-local ints and a deferred
         delay list, and this collector levels the facade's counters up
-        to the merged values when the registry is scraped. Under the
-        thread runtime the reads are unsynchronized snapshots of
-        monotonic ints — scrapes may run a few events behind, never
-        backwards.
+        to the merged values when the registry is scraped.
         """
         self._flush_delay_buf()
         stats = self.stats
@@ -443,10 +440,10 @@ class StagedEngine:
     def classify_labels(self, batch, now: float):
         """Run the batched finalize + predict kernels over ready flows.
 
-        Pure classification: no shard state is touched, so any thread
-        may call it (the thread runtime's coordinator does). Observes
-        the classify/finalize timers and the delay / state-bytes
-        distributions from the ``ReadyFlow`` metadata alone.
+        Pure classification: no shard state is touched (labels apply
+        through :meth:`classify_apply`). Observes the classify/finalize
+        timers and the delay / state-bytes distributions from the
+        ``ReadyFlow`` metadata alone.
         """
         payloads = [ready.window for ready in batch]
         if self._m_classify is not None:

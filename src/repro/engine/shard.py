@@ -9,14 +9,13 @@ only ever touches one shard's state — the
 :class:`~repro.engine.deadlines.DeadlineWheel`, the
 :class:`~repro.engine.batcher.FoldBatcher`, and the
 :class:`~repro.engine.batcher.MicroBatcher` — behind a narrow surface
-(:meth:`ingest` / :meth:`poll_due` / :meth:`flush` / :meth:`apply`)
-with **no references to global engine state**.
+(:meth:`ingest` / :meth:`poll_due` / :meth:`make_ready` /
+:meth:`apply`) with **no references to global engine state**.
 
 The split is exactly along the read/write sets of the staged engine:
 
 * everything from CDB lookup through window freezing writes only
-  shard-local structures, so it lives here and can run on a per-shard
-  worker with no locks;
+  shard-local structures, so it lives here;
 * classification itself (extractor ``finalize`` + vectorized predict)
   reads frozen windows from *many* shards, so the pipeline never
   classifies — it emits :class:`~repro.engine.batcher.ReadyFlow`\\ s
@@ -58,18 +57,14 @@ class IngestResult:
 
     ``label`` is the flow's known label (CDB hit) or None; ``ready`` is
     whatever batch the packet drained (empty when nothing classifies
-    yet); ``urgent`` means a FIN/RST forced the drain and the runtime
-    should flush *every* shard's queue into one classify call — the
-    close semantics of the fused engine, where a single batcher held
-    all shards' ready flows.
+    yet).
     """
 
-    __slots__ = ("label", "ready", "urgent")
+    __slots__ = ("label", "ready")
 
-    def __init__(self, label=None, ready=(), urgent=False) -> None:
+    def __init__(self, label=None, ready=()) -> None:
         self.label = label
         self.ready = ready
-        self.urgent = urgent
 
 
 class WindowPolicy:
@@ -129,14 +124,10 @@ class ShardPipeline:
     Owns the shard's pending dict and CDB partition (via ``shard``),
     its deadline wheel, micro-batcher, and fold batcher. Never
     classifies: ready flows leave through the return values of
-    :meth:`ingest` / :meth:`poll_due` / :meth:`flush` /
-    :meth:`final_drain`, and labels come back through :meth:`apply`.
-
-    ``freeze_on_ready`` (set by thread runtimes) folds a streaming
-    flow's deferred chunks the moment it becomes ready and ignores
-    later ones, so the window handed across threads is immutable; the
-    serial runtime leaves it off and keeps the monolith's exact
-    fold-at-classify cadence.
+    :meth:`ingest` / :meth:`poll_due` / :meth:`make_ready` /
+    :meth:`drain`, and labels come back through :meth:`apply`.
+    Timeout expiry and the end-of-stream drain merge across shards, so
+    the runtime drives them (:meth:`pop_expired` + :meth:`make_ready`).
     """
 
     def __init__(
@@ -174,7 +165,6 @@ class ShardPipeline:
         # per-packet batcher registration would be pure overhead, so it
         # is skipped entirely in that mode.
         self._fold_on_classify = self._defer_folds and fold_batch == 0
-        self.freeze_on_ready = False
         #: Optional ``(flow_id, pending) -> None`` callback fired when a
         #: too-short flow is dropped as unclassifiable — the process
         #: runtime journals these so its coordinator can release the
@@ -187,8 +177,7 @@ class ShardPipeline:
         self.key_of = FlowKey.of_packet
         self.stats = EngineStats()
         #: (label, packet) pairs awaiting sink fan-out — the runtime
-        #: drains this after every call; plain list appends keep the
-        #: fill path lock-free.
+        #: drains this after every call.
         self.outbox: list = []
         self._time_folds = False
         self._fold_seconds = 0.0
@@ -267,9 +256,7 @@ class ShardPipeline:
         may span shards, hence ``pending_of``, a cross-shard flow-id →
         pending resolver (defaults to this shard's own dict) — so the
         whole batch folds in one vectorized call, the monolith's exact
-        cadence. Thread runtimes never call it: their flows fold at
-        :meth:`make_ready` (``freeze_on_ready``), before crossing
-        threads.
+        cadence.
         """
         if self._fold_on_classify:
             pending_get = (
@@ -293,7 +280,7 @@ class ShardPipeline:
 
     # -- readiness -----------------------------------------------------------
 
-    def _freeze(self, flow_id: bytes, pending: PendingFlow):
+    def _freeze(self, pending: PendingFlow):
         """Freeze the flow's window; None when too short to classify."""
         if self.extractor.retains_payload:
             window, protocol = self.policy.classification_window(
@@ -302,12 +289,6 @@ class ShardPipeline:
             if len(window) < self.policy.min_window:
                 return None
             return window, protocol
-        if self.freeze_on_ready and pending.unfolded:
-            # Thread runtimes: absorb the deferred chunks now so the
-            # state object crossing to the coordinator stops mutating.
-            if not self._fold_on_classify:
-                self.fold_batcher.take([flow_id])
-            self._fold_pending([pending])
         folded = self.extractor.folded_bytes(pending.state)
         if pending.unfolded:
             # Deferred chunks count toward readiness: by the time the
@@ -332,7 +313,7 @@ class ShardPipeline:
         push drained — non-empty when the size trigger fired or
         ``force`` flushed the queue (FIN/RST needs the label *now*).
         """
-        frozen = self._freeze(flow_id, pending)
+        frozen = self._freeze(pending)
         if frozen is None:
             self.stats.unclassifiable += 1
             if self._defer_folds:
@@ -421,12 +402,7 @@ class ShardPipeline:
         if packet.payload:
             prior_raw = pending.raw_bytes
             pending.raw_bytes = prior_raw + len(packet.payload)
-            if pending.queued and self.freeze_on_ready:
-                # Window already frozen for a cross-thread classify;
-                # count the bytes and keep the packet for forwarding,
-                # but never mutate the handed-off state.
-                pass
-            elif self._defer_folds:
+            if self._defer_folds:
                 # Chunks fold in arrival order and each fold caps at the
                 # extractor window, so once the bytes *before* this chunk
                 # already cover the window its fold is provably a no-op —
@@ -445,7 +421,7 @@ class ShardPipeline:
             # Window already with the batcher; a close needs the label now.
             if is_close:
                 pending.closed = True
-                return IngestResult(ready=self.drain(reason="close"), urgent=True)
+                return IngestResult(ready=self.drain(reason="close"))
             return IngestResult()
         self.wheel.schedule(flow_id, now + self.buffer_timeout)
         if pending.raw_bytes >= self.policy.target_bytes or is_close:
@@ -453,10 +429,9 @@ class ShardPipeline:
             # arrived (or give up).
             if is_close:
                 pending.closed = True
-            ready = self.make_ready(flow_id, pending, now, force=is_close)
-            # An unclassifiable close drops the flow without touching the
-            # queue (ready empty), so nothing is urgent about it.
-            return IngestResult(ready=ready, urgent=is_close and bool(ready))
+            return IngestResult(
+                ready=self.make_ready(flow_id, pending, now, force=is_close)
+            )
         return IngestResult()
 
     # -- label application ---------------------------------------------------
@@ -491,33 +466,3 @@ class ShardPipeline:
             self.shard.cdb.remove(flow_id, reason="fin")
             self.stats.fin_removals += 1
         return outcome, pending.packets
-
-    # -- shard-local flush/finish (thread-runtime entry points) ---------------
-
-    def flush(self, now: float) -> "list[ReadyFlow]":
-        """Shard-local timeout flush; returns everything now ready.
-
-        Thread runtimes run this on the shard's worker. The serial
-        runtime instead merges expirations across shards in global
-        ``seq`` order (the facade's ``flush_timeouts``), which is what
-        exact monolith equivalence requires.
-        """
-        out = self.poll_due(now)
-        expired = self.pop_expired(now)
-        expired.sort(key=lambda item: item[1].seq)
-        for flow_id, pending in expired:
-            out.extend(self.make_ready(flow_id, pending, now, force=False))
-        out.extend(self.drain(reason="timeout"))
-        return out
-
-    def final_drain(self, now: float) -> "list[ReadyFlow]":
-        """End of stream for this shard: everything pending becomes ready."""
-        out = self.drain(reason="final")
-        items = sorted(
-            self.shard.pending.items(), key=lambda item: item[1].seq
-        )
-        for flow_id, pending in items:
-            if not pending.queued:
-                out.extend(self.make_ready(flow_id, pending, now, force=False))
-        out.extend(self.drain(reason="final"))
-        return out

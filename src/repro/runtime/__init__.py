@@ -7,16 +7,16 @@ executes each pipeline and when:
 * :class:`SerialRuntime` (default) drives every shard inline on the
   calling thread, in arrival order — packet-for-packet equivalent to
   the fused engine (proven by the staged-equivalence suite);
-* :class:`ThreadRuntime` pins shards to worker threads (bounded
-  per-worker ingress queues provide backpressure) and merges their
-  ``ReadyFlow`` drains on a coordinator into cross-shard classify
-  batches, so the batched finalize/predict kernels — which release the
-  GIL inside numpy — keep their 30-80x win;
 * :class:`ProcessRuntime` replicates whole shard pipelines into
   shared-nothing worker *processes* (pending buffers, CDB partition,
   deadline wheel, and fold state all live worker-side) and merges
   compact result frames by global arrival seq, escaping the GIL
   entirely at the cost of a byte-frame IPC boundary.
+
+There is no thread runtime: on a GIL build the per-packet ingest path
+serializes, and worker threads measured below serial throughput (see
+DESIGN.md "Execution runtime"). A free-threaded build can add one as a
+single module that calls :func:`register`.
 
 Selection goes through the **runtime registry**: built-ins register
 themselves on import, :func:`register` adds third-party runtimes with
@@ -31,14 +31,12 @@ from repro.runtime import base as _base
 from repro.runtime.base import Runtime, available, make_runtime, register
 from repro.runtime.process import ProcessRuntime
 from repro.runtime.serial import SerialRuntime
-from repro.runtime.threaded import ThreadRuntime
 
 __all__ = [
     "RUNTIMES",
     "ProcessRuntime",
     "Runtime",
     "SerialRuntime",
-    "ThreadRuntime",
     "available",
     "make_runtime",
     "register",

@@ -13,9 +13,9 @@ facade calls exactly four things on the hot path and lifecycle:
 
 In exchange the runtime may call back into the engine's coordinator
 surface: ``engine.pipelines``, ``engine.classify_apply(batch, now)``
-(serial), ``engine.classify_labels(batch, now)`` +
-``pipeline.apply(...)`` + ``engine.emit*`` (threaded), and
-``engine.note_inserts(n, now)`` for the shard-global purge trigger.
+(serial), ``engine.emit*`` and the ``engine.mirror_*`` merge methods
+(process), and ``engine.note_inserts(n, now)`` for the shard-global
+purge trigger.
 
 This module also hosts the **runtime registry**: runtimes register a
 name → factory pair via :func:`register` (the built-ins register
@@ -99,9 +99,8 @@ class Runtime(Protocol):
 
         Runtimes may rewire the pipelines' stage instances here — the
         serial runtime aliases one shared micro-batcher/fold accumulator
-        into every pipeline; the thread runtime installs pass-through
-        batchers and batches at its coordinator — which is why the
-        engine binds metrics only *after* this call.
+        into every pipeline — which is why the engine binds metrics only
+        *after* this call.
         """
 
     def bind_metrics(self, registry) -> None:

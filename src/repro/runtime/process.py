@@ -1,7 +1,7 @@
 """Process runtime: shared-nothing per-shard worker processes.
 
-The thread runtime tops out below 1x on ingest-dominated traces because
-the per-packet fold path serializes on the GIL. This runtime escapes it
+On CPython the per-packet ingest path holds the GIL, so worker
+*threads* cannot run shards in parallel. This runtime sidesteps the GIL
 the way the paper's line-rate deployments (and ITCM/FastFlow-style
 per-core pipeline replication) do: **worker processes** that each own a
 disjoint set of shards outright — pending buffers, CDB partition,
@@ -19,8 +19,10 @@ Execution model:
   start as its ``save_model`` JSON payload; per packet, nothing is
   pickled — packets cross the boundary as batched
   ``(seq, ts, flags, flow_id, len, payload)`` byte frames over bounded
-  ``multiprocessing`` queues (a full queue blocks dispatch: that is the
-  backpressure).
+  ``multiprocessing`` queues. Each worker's ingress queue holds at most
+  ``queue_depth`` messages: frames of up to ``_FRAME_PACKETS`` packets
+  plus control messages (flush, final, purge, barrier, metrics, stop).
+  A full queue blocks dispatch: that is the backpressure.
 * **Coordinator** — routes packets, forwards CDB-hit packets from its
   own **mirror** of the CDB (rebuilt from worker events, so lookups
   never cross a process), and merges the workers' compact result frames

@@ -70,12 +70,14 @@ class TestRuntimeKnobs:
         assert config.queue_depth == 1024
 
     def test_known_names_accepted(self):
-        assert EngineConfig(runtime="thread").runtime == "thread"
+        assert EngineConfig(runtime="serial").runtime == "serial"
         assert EngineConfig(runtime="process").runtime == "process"
 
     def test_unknown_runtime_name_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime 'fiber'"):
             EngineConfig(runtime="fiber")
+        with pytest.raises(ValueError, match="unknown runtime 'thread'"):
+            EngineConfig(runtime="thread")
 
     def test_non_callable_runtime_rejected(self):
         with pytest.raises(TypeError, match="factory callable"):
@@ -101,7 +103,7 @@ class TestRuntimeKnobs:
         assert EngineConfig(num_workers=4, num_shards=4).num_workers == 4
 
     def test_runtime_knobs_are_frozen(self):
-        config = EngineConfig(runtime="thread")
+        config = EngineConfig(runtime="process")
         with pytest.raises(AttributeError):
             config.runtime = "serial"
         with pytest.raises(AttributeError):

@@ -104,13 +104,12 @@ class TestDeterminism:
 
 
 class TestBackpressure:
-    def test_thread_runtime_queue_depth_one(self, trained_cart, small_trace):
-        config = EngineConfig(runtime="thread", num_workers=2, queue_depth=1)
+    def test_process_runtime_queue_depth_one(self, trained_cart, small_trace):
+        config = EngineConfig(runtime="process", num_workers=2, queue_depth=1)
 
         def summarize(engine, stats):
-            # What the staged-equivalence suite gates for the thread
-            # runtime: labels, classification counts, and CDB lifetime
-            # counters (cdb_hits depends on coordinator timing there).
+            # What the process-runtime suite gates against serial:
+            # labels, classification counts, and CDB lifetime counters.
             return (
                 _labels(stats),
                 stats.classifications,

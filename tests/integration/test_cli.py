@@ -125,19 +125,19 @@ class TestTrainAndClassify:
         # windows.
         assert natures["batch"] == natures["incremental"]
 
-    def test_classify_thread_runtime_labels_match_serial(
+    def test_classify_process_runtime_labels_match_serial(
         self, artifacts, tmp_path, capsys
     ):
         model, pcap, _ = artifacts
         natures = {}
-        for runtime in ("serial", "thread"):
+        for runtime in ("serial", "process"):
             out_json = tmp_path / f"results-{runtime}.json"
             assert main(["classify", str(model), str(pcap),
                          "--json", str(out_json),
                          "--runtime", runtime, "--workers", "4"]) == 0
             results = json.loads(out_json.read_text())
             natures[runtime] = {r["flow"]: r["nature"] for r in results}
-        assert natures["serial"] == natures["thread"]
+        assert natures["serial"] == natures["process"]
 
     def test_classify_rejects_non_model_file(self, artifacts, tmp_path, capsys):
         _, pcap, _ = artifacts
@@ -168,9 +168,9 @@ class TestParser:
     def test_classify_runtime_flags_parse(self):
         namespace = build_parser().parse_args(
             ["classify", "m.json", "x.pcap",
-             "--runtime", "thread", "--workers", "4"]
+             "--runtime", "process", "--workers", "4"]
         )
-        assert namespace.runtime == "thread"
+        assert namespace.runtime == "process"
         assert namespace.workers == 4
 
     def test_unknown_runtime_rejected_at_parse(self):

@@ -4,9 +4,7 @@ The acceptance gate for the ingest layer: ``process_source`` over a
 ``PcapFileSource`` must produce labels, CDB lifetime counters, and sink
 order identical to ``process_trace`` over ``read_pcap`` — on the serial
 runtime for both extractors (bit-for-bit, including the CDB size
-series), and labels + CDB counters on the thread and process runtimes
-(outcome *order* is scheduling-dependent there, as the staged
-equivalence suite already documents).
+series), and labels + CDB counters on the process runtime.
 """
 
 import pytest
@@ -92,23 +90,6 @@ class TestSerialEquivalence:
 
 
 class TestWorkerRuntimeEquivalence:
-    def test_thread_runtime_labels_and_cdb_counters(
-        self, trained_cart, trace_pcap
-    ):
-        config = _config("batch", runtime="thread", num_workers=4)
-        engine_m, stats_m = _materialized(trained_cart, config, trace_pcap)
-        engine_s, stats_s = _streamed(trained_cart, config, trace_pcap)
-        assert _label_map(stats_s) == _label_map(stats_m)
-        # cdb_hits depends on coordinator timing under the thread
-        # runtime; the lifetime counters must still agree exactly.
-        assert stats_s.classifications == stats_m.classifications
-        assert stats_s.per_class == stats_m.per_class
-        assert engine_s.table.total_inserted == engine_m.table.total_inserted
-        assert (
-            engine_s.table.total_removed_fin
-            == engine_m.table.total_removed_fin
-        )
-
     def test_process_runtime_labels_and_cdb_counters(
         self, trained_cart, trace_pcap
     ):

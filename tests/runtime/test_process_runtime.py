@@ -53,14 +53,16 @@ def _config(extractor="batch", **staging):
 class TestProcessSerialEquivalence:
     """Labels and CDB lifetime counters match serial, both extractors."""
 
+    @pytest.mark.parametrize("model", ["trained_cart", "trained_svm"])
     @pytest.mark.parametrize("extractor", ["batch", "incremental"])
     def test_labels_and_cdb_counters_match_serial(
-        self, trained_cart, small_trace, extractor
+        self, request, model, small_trace, extractor
     ):
-        serial = StagedEngine(trained_cart, _config(extractor, max_batch=8))
+        classifier = request.getfixturevalue(model)
+        serial = StagedEngine(classifier, _config(extractor, max_batch=8))
         serial_stats = serial.process_trace(small_trace)
         engine = StagedEngine(
-            trained_cart,
+            classifier,
             _config(extractor, max_batch=8, runtime="process", num_workers=4),
         )
         with engine:

@@ -4,13 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import EngineConfig, IustitiaConfig
+from repro.core.config import EngineConfig
 from repro.engine import StagedEngine
 from repro.runtime import (
     RUNTIMES,
     ProcessRuntime,
     SerialRuntime,
-    ThreadRuntime,
     available,
     make_runtime,
     register,
@@ -27,12 +26,11 @@ def _spec(runtime, num_workers=0, queue_depth=1024):
 class TestMakeRuntime:
     def test_builtin_names_resolve(self):
         assert isinstance(make_runtime(_spec("serial")), SerialRuntime)
-        assert isinstance(make_runtime(_spec("thread")), ThreadRuntime)
         assert isinstance(make_runtime(_spec("process")), ProcessRuntime)
 
     def test_registry_covers_builtin_names(self):
-        assert set(RUNTIMES) == {"serial", "thread", "process"}
-        assert available() == ("process", "serial", "thread")
+        assert set(RUNTIMES) == {"serial", "process"}
+        assert available() == ("process", "serial")
 
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown runtime 'fiber'"):
@@ -42,8 +40,9 @@ class TestMakeRuntime:
         with pytest.raises(TypeError, match="registry name or a factory"):
             make_runtime(_spec(42))
 
-    def test_thread_factory_forwards_config_knobs(self):
-        runtime = make_runtime(_spec("thread", num_workers=3, queue_depth=7))
+    def test_process_factory_forwards_config_knobs(self):
+        # make_runtime does not bind, so no worker process starts.
+        runtime = make_runtime(_spec("process", num_workers=3, queue_depth=7))
         assert runtime.num_workers == 3
         assert runtime.queue_depth == 7
 
@@ -93,7 +92,7 @@ class TestRegisterApi:
             register("fiber2", "not-a-factory")
 
     def test_unknown_name_error_lists_available(self):
-        with pytest.raises(ValueError, match="process, serial, thread"):
+        with pytest.raises(ValueError, match="process, serial"):
             make_runtime(_spec("fiber"))
 
 
@@ -114,31 +113,8 @@ class TestEngineIntegration:
         serial = StagedEngine(trained_svm)
         assert list(serial.batcher._parts) == serial.runtime.batchers()
         assert len(serial.runtime.batchers()) == 1
-        with StagedEngine(
-            trained_svm, EngineConfig(runtime="thread", num_workers=2)
-        ) as threaded:
-            # The coordinator batcher is the only one that micro-batches;
-            # per-shard pass-throughs are invisible to the stage view.
-            assert list(threaded.batcher._parts) == threaded.runtime.batchers()
-            assert len(threaded.runtime.batchers()) == 1
-
-    def test_thread_runtime_rejects_random_skip(self, trained_svm):
-        config = EngineConfig(
-            runtime="thread",
-            num_workers=2,
-            pipeline=IustitiaConfig(buffer_size=32, random_skip_max=16),
-        )
-        with pytest.raises(ValueError, match="random_skip_max"):
-            StagedEngine(trained_svm, config)
 
     def test_serial_runtime_close_is_noop(self, trained_svm):
         engine = StagedEngine(trained_svm)
         engine.close()
         engine.close()
-
-    def test_context_manager_closes_thread_runtime(self, trained_svm):
-        with StagedEngine(
-            trained_svm, EngineConfig(runtime="thread", num_workers=2)
-        ) as engine:
-            assert len(engine.runtime._threads) == 2
-        assert engine.runtime._threads == []
